@@ -3,52 +3,34 @@
 Public surface:
 
 * :class:`Cnf` — clause container with fresh-variable allocation.
-* :class:`CdclSolver` / :func:`solve_cnf` — complete CDCL search.
+* :class:`CdclSolver` / :func:`solve_cnf` — complete CDCL search
+  (:class:`CdclSolver` is :class:`CdclCore`, the one solver class).
+* :class:`SatResult` / :class:`SolverStats` — solve outcomes and counters.
 * :func:`iter_models` / :func:`count_models` — AllSAT enumeration.
 * :func:`parse_dimacs` / :func:`dimacs_text` — DIMACS interchange.
+* :func:`brute_force_models` and friends — the exhaustive reference the
+  solver is tested against.
 """
 
 from .cnf import Cnf
+from .core import (
+    MAX_MERGED_STAT_FIELDS,
+    CdclCore,
+    CdclSolver,
+    SatResult,
+    SolverStats,
+    luby,
+    solve_cnf,
+)
 from .dimacs import dimacs_text, parse_dimacs, read_dimacs, write_dimacs
 from .enumerate import count_models, iter_models
 from .reference import brute_force_count, brute_force_models, brute_force_satisfiable
-from .solver import (
-    MAX_MERGED_STAT_FIELDS,
-    SOLVER_CORES,
-    SOLVER_CORE_NAMES,
-    AccelCdclSolver,
-    ArrayCdclSolver,
-    CdclCore,
-    CdclSolver,
-    ObjectCdclSolver,
-    SatResult,
-    SolverStats,
-    accel_status,
-    create_solver,
-    current_solver_preferences,
-    default_solver_core,
-    luby,
-    resolve_solver_core,
-    solve_cnf,
-    solver_preferences,
-)
 
 __all__ = [
     "Cnf",
     "MAX_MERGED_STAT_FIELDS",
-    "SOLVER_CORES",
-    "SOLVER_CORE_NAMES",
     "CdclCore",
     "CdclSolver",
-    "ObjectCdclSolver",
-    "ArrayCdclSolver",
-    "AccelCdclSolver",
-    "accel_status",
-    "default_solver_core",
-    "resolve_solver_core",
-    "create_solver",
-    "current_solver_preferences",
-    "solver_preferences",
     "SatResult",
     "SolverStats",
     "luby",

@@ -1,30 +1,35 @@
-"""Shared CDCL search driver (the solver's storage-independent half).
+"""The CDCL SAT solver (the reproduction's stand-in for MiniSat [17]).
 
-The solver is split into three modules:
+The paper hands its Alloy -> Kodkod CNF to an off-the-shelf solver
+(§IV-C); this module is that solver, in pure Python.  One class,
+:class:`CdclCore` (exported as :class:`CdclSolver`), owns both halves:
 
-* this one — the :class:`CdclCore` base class owning the *search*: the
-  solve/enumerate loops, first-UIP conflict analysis with learned-clause
-  minimization, the indexed VSIDS max-heap, Luby restarts, assumption
-  handling, cooperative-deadline polling, and inprocessing scheduling;
-* :mod:`repro.sat.core_object` — clause storage as per-clause Python
-  objects with (blocker, clause) watch tuples (the original
-  representation, kept as the differential oracle);
-* :mod:`repro.sat.core_array` — clause storage as a flat integer arena
-  with flat int-pair watch lists (no per-clause objects in the
-  propagation loop).
+* the *search*: the solve/enumerate loops, first-UIP conflict analysis
+  with learned-clause minimization, the indexed VSIDS max-heap, Luby
+  restarts, assumption handling and cooperative-deadline polling;
+* the *clause storage*: every clause lives in one flat integer arena::
 
-Both cores implement the same abstract storage hooks and *identical*
-heuristics, so for a given clause stream they run the same search, make
-the same decisions, and report the same statistics — the property the
-pipeline's byte-identical-output guarantee rests on, and what lets the
-array core be gated by the same committed counter baselines as the
-object core.
+      ... | size | flags | lit0 | lit1 | ... | lit_{size-1} | ...
+                          ^
+                          cref (clause reference = arena index of lit0)
 
-Inprocessing (:mod:`repro.sat.inprocess`) is scheduled from here: a pass
-may run only at decision level 0 and only at query boundaries —
-``solve``/``iter_solutions`` entry, enumeration-burst boundaries, and
-:class:`repro.relational.translate.ProblemSession` query entry — and
-only when enabled and due (see :meth:`CdclCore.maybe_inprocess`).
+  ``flags`` packs the LBD quality tag and the learned bit
+  (``lbd << 1 | learned``).  Watch lists are flat integer lists of
+  ``blocker, cref`` pairs (``(other, cref)`` tuples in the dedicated
+  binary watch lists), and a propagation *reason* is just the forcing
+  clause's ``cref`` (-1 for decisions, assumptions and level-0 units).
+  The propagation loop therefore touches only integer lists — no clause
+  objects, no attribute loads.
+
+Learned-clause database reduction compacts the arena: surviving clauses
+are copied to a fresh arena, every ``cref`` — clause lists, watch lists,
+trail reasons — is remapped, and the old arena is dropped.  Locked
+clauses (reasons of trail literals) are always kept, so remapping a
+reason can never dangle.
+
+The search is deterministic: a given clause stream always yields the
+same decisions, models, model order and statistics — the property the
+pipeline's byte-identical-output guarantee rests on.
 """
 
 from __future__ import annotations
@@ -45,12 +50,6 @@ from .cnf import Cnf
 #: ambient scope at *every* poll, so a deadline installed after a solve
 #: or enumeration started is still honored (nested sweep budgets).
 DEADLINE_POLL_PROPAGATIONS = 20000
-
-#: Inprocessing is considered "due" only once the learned database has
-#: at least this many (long) clauses ...
-INPROCESS_MIN_LEARNED = 100
-#: ... and at least this many conflicts happened since the last pass.
-INPROCESS_CONFLICT_INTERVAL = 2000
 
 
 def luby(index: int) -> int:
@@ -115,19 +114,6 @@ class SolverStats:
     #: during translation (see :meth:`repro.relational.Problem.
     #: add_symmetry`).  Deterministic for a fixed problem.
     symmetry_clauses: int = 0
-    # ---- inprocessing counters (maintained by
-    # :mod:`repro.sat.inprocess`) ----------------------------------------
-    #: Inprocessing passes run (subsumption + vivification sweeps).
-    inprocessings: int = 0
-    #: Learned clauses shortened (or root-satisfied and dropped) by
-    #: clause vivification.
-    vivified_clauses: int = 0
-    #: Learned clauses deleted because another learned clause subsumes
-    #: them.
-    subsumed_clauses: int = 0
-    #: Learned clauses strengthened by self-subsuming resolution (one
-    #: literal removed).
-    strengthened_clauses: int = 0
 
     def merge(self, other: "SolverStats") -> None:
         """Accumulate another counter set into this one (used when stats
@@ -159,16 +145,8 @@ class SatResult:
 
 
 class CdclCore:
-    """Storage-independent CDCL search over a :class:`Cnf`.
-
-    Subclasses provide the clause representation by implementing the
-    storage hooks (``_init_storage``, ``_attach_clause``, ``_propagate``,
-    ``_reason_lits``, ``_reduce_db``, ``_grow_storage``,
-    ``learned_count`` and the ``_inprocess_*`` API).  A *reason token* is
-    whatever the storage uses to name a clause (the literal list itself
-    for the object core, an arena offset for the array core); the base
-    class only ever stores and forwards tokens, comparing them against
-    the subclass's ``_NO_REASON`` sentinel.
+    """CDCL search over a :class:`Cnf`, with flat-arena clause storage
+    (see the module docstring).
 
     The solver copies the clauses out of the given CNF, so the CNF may
     keep growing for other purposes afterwards; use :meth:`add_clause`
@@ -176,10 +154,7 @@ class CdclCore:
     same solver instance between ``solve`` calls.
     """
 
-    #: Reason sentinel for "decision / no reason"; overridden per core.
-    _NO_REASON: object = None
-
-    def __init__(self, cnf: Cnf, inprocess: bool = False) -> None:
+    def __init__(self, cnf: Cnf) -> None:
         self._nvars = cnf.num_vars
         # Literal encoding: positive literal v -> 2v, negative -> 2v+1.
         size = 2 * self._nvars + 2
@@ -187,7 +162,8 @@ class CdclCore:
         self._values: list[int] = [0] * size
         self._max_learned = 2000
         self._level: list[int] = [0] * (self._nvars + 1)
-        self._reason: list = [self._NO_REASON] * (self._nvars + 1)
+        # Forcing clause's cref per variable; -1 for decisions/units.
+        self._reason: list[int] = [-1] * (self._nvars + 1)
         self._trail: list[int] = []  # literals in assignment order
         self._trail_lim: list[int] = []  # trail indices at each decision level
         self._qhead = 0
@@ -205,70 +181,22 @@ class CdclCore:
         self._ok = True
         self._last_model_decisions: list[int] = []
         self.stats = SolverStats()
-        self._inprocess_enabled = bool(inprocess)
-        self._inprocess_min_learned = INPROCESS_MIN_LEARNED
-        self._inprocess_interval = INPROCESS_CONFLICT_INTERVAL
-        self._conflicts_at_last_inprocess = 0
-        self._vivify_cursor = 0
-        self._init_storage(size)
+        # Arena slot 0/1 are padding so that no real cref is ever <= 1:
+        # cref 0 would collide with header reads at cref-2.
+        self._arena: list[int] = [0, 0]
+        # _watches[i]: flat (blocker, cref) pairs whose watched literal is
+        # the negation of literal i; _bin_watches[i]: (other, cref) int
+        # tuples for binary clauses (-lit(i), other) — tuples of two ints,
+        # not objects, so the binary loop unpacks them at C speed.
+        self._watches: list[list[int]] = [[] for _ in range(size)]
+        self._bin_watches: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        self._long_crefs: list[int] = []
+        self._learned_crefs: list[int] = []
+        self._bin_crefs: list[int] = []
         self._load(cnf.clauses)
 
     # ------------------------------------------------------------------
-    # Storage hooks (implemented by core_object / core_array)
-    # ------------------------------------------------------------------
-    def _init_storage(self, size: int) -> None:
-        raise NotImplementedError
-
-    def _grow_storage(self) -> None:
-        """Extend the watch structures for one freshly added variable."""
-        raise NotImplementedError
-
-    def _attach_clause(self, lits: list[int], learned: bool = False, lbd: int = 0):
-        """Install a clause of >= 2 literals and return its reason token.
-        ``lits`` is owned by the storage afterwards."""
-        raise NotImplementedError
-
-    def _propagate(self):
-        """Unit propagation; returns a conflicting clause's literals
-        (a sequence) or None."""
-        raise NotImplementedError
-
-    def _reason_lits(self, var: int) -> Optional[Sequence[int]]:
-        """The literals of the clause that forced ``var``, or None for a
-        decision/assumption."""
-        raise NotImplementedError
-
-    def _reduce_db(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def learned_count(self) -> int:
-        """Learned clauses currently retained in the database (what an
-        incremental session reuses across queries; binary learned clauses
-        live in the binary watch lists and are not counted here)."""
-        raise NotImplementedError
-
-    # The _inprocess_* storage API consumed by repro.sat.inprocess:
-    def _inprocess_learned(self) -> list:
-        """Stable references to the long learned clauses, in DB order."""
-        raise NotImplementedError
-
-    def _inprocess_lits(self, ref) -> list[int]:
-        raise NotImplementedError
-
-    def _inprocess_locked(self) -> set:
-        """References that are currently the reason for a trail literal
-        (must never be deleted or strengthened)."""
-        raise NotImplementedError
-
-    def _inprocess_apply(self, deletions: set, replacements: dict) -> None:
-        """Delete / replace learned clauses in one batch (level 0 only).
-        Replacement literal lists have >= 2 literals; a 2-literal
-        replacement migrates the clause to the binary watch lists."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Clause database (shared)
+    # Clause database
     # ------------------------------------------------------------------
     def _load(self, clauses: Iterable[Sequence[int]]) -> None:
         """Bulk-load clauses from a :class:`Cnf`.
@@ -289,7 +217,7 @@ class CdclCore:
             else:
                 self._attach_clause(list(clause))
         for lit in units:
-            if not self._enqueue(lit, self._NO_REASON):
+            if not self._enqueue(lit, -1):
                 self._ok = False
                 return
         if self._propagate() is not None:
@@ -337,7 +265,7 @@ class CdclCore:
             self._ok = False
             return False
         if len(filtered) == 1:
-            if not self._enqueue(filtered[0], self._NO_REASON):
+            if not self._enqueue(filtered[0], -1):
                 self._ok = False
                 return False
             conflict = self._propagate()
@@ -352,14 +280,17 @@ class CdclCore:
         while self._nvars < var:
             self._nvars += 1
             self._level.append(0)
-            self._reason.append(self._NO_REASON)
+            self._reason.append(-1)
             self._activity.append(0.0)
             self._saved_phase.append(False)
             self._heap_pos.append(-1)
             self._values.append(0)
             self._values.append(0)
             self._seen.append(0)
-            self._grow_storage()
+            self._watches.append([])
+            self._watches.append([])
+            self._bin_watches.append([])
+            self._bin_watches.append([])
             self._heap_insert(self._nvars)
 
     @staticmethod
@@ -367,7 +298,134 @@ class CdclCore:
         return 2 * lit if lit > 0 else -2 * lit + 1
 
     # ------------------------------------------------------------------
-    # Assignment primitives (shared)
+    # Clause storage
+    # ------------------------------------------------------------------
+    def _attach_clause(self, lits: list[int], learned: bool = False, lbd: int = 0) -> int:
+        """Install a clause of >= 2 literals and return its cref.
+        ``lits`` is copied into the arena."""
+        arena = self._arena
+        arena.append(len(lits))
+        arena.append((lbd << 1) | (1 if learned else 0))
+        cref = len(arena)
+        arena.extend(lits)
+        if len(lits) == 2:
+            self._bin_crefs.append(cref)
+            self._watch_binary(cref)
+        else:
+            if learned:
+                self._learned_crefs.append(cref)
+            else:
+                self._long_crefs.append(cref)
+            self._watch(cref)
+        return cref
+
+    def _watch(self, cref: int) -> None:
+        arena = self._arena
+        first = arena[cref]
+        second = arena[cref + 1]
+        watch = self._watches[self._lit_index(-first)]
+        watch.append(second)
+        watch.append(cref)
+        watch = self._watches[self._lit_index(-second)]
+        watch.append(first)
+        watch.append(cref)
+
+    def _watch_binary(self, cref: int) -> None:
+        arena = self._arena
+        a = arena[cref]
+        b = arena[cref + 1]
+        self._bin_watches[self._lit_index(-a)].append((b, cref))
+        self._bin_watches[self._lit_index(-b)].append((a, cref))
+
+    def _reason_lits(self, var: int) -> Optional[Sequence[int]]:
+        """The literals of the clause that forced ``var``, or None for a
+        decision/assumption/unit."""
+        cref = self._reason[var]
+        if cref < 0:
+            return None
+        arena = self._arena
+        return arena[cref : cref + arena[cref - 2]]
+
+    @property
+    def learned_count(self) -> int:
+        """Learned clauses currently retained in the database (what an
+        incremental session reuses across queries; binary learned clauses
+        live in the binary watch lists and are not counted here)."""
+        return len(self._learned_crefs)
+
+    # ------------------------------------------------------------------
+    # Learned-clause database reduction + arena compaction
+    # ------------------------------------------------------------------
+    def _reduce_db(self) -> None:
+        """Rank learned clauses by LBD/length/age, keep the best half
+        plus glue and *locked* clauses (reasons of trail literals), then
+        compact the arena so deleted clauses stop occupying memory."""
+        arena = self._arena
+        learned = self._learned_crefs
+        reasons = self._reason
+        locked: set[int] = set()
+        for lit in self._trail:
+            cref = reasons[lit if lit > 0 else -lit]
+            if cref >= 0:
+                locked.add(cref)
+        ranked = sorted(
+            range(len(learned)),
+            key=lambda i: (arena[learned[i] - 1] >> 1, arena[learned[i] - 2], i),
+        )
+        keep_indices = set(ranked[: len(learned) // 2])
+        kept: list[int] = []
+        deleted = 0
+        for i, cref in enumerate(learned):
+            if i in keep_indices or (arena[cref - 1] >> 1) <= 2 or cref in locked:
+                kept.append(cref)
+            else:
+                deleted += 1
+        self._learned_crefs = kept
+        self._compact_and_rebuild()
+        self.stats.db_reductions += 1
+        self.stats.deleted_clauses += deleted
+        self._max_learned = self._max_learned + self._max_learned // 2
+
+    def _compact_and_rebuild(self) -> None:
+        """Copy surviving clauses into a fresh arena, remap every cref
+        (clause lists, trail reasons), and rebuild all watch lists:
+        long problem clauses first, then learned clauses, each in
+        database order."""
+        old = self._arena
+        new: list[int] = [0, 0]
+        remap: dict[int, int] = {}
+        for crefs in (self._bin_crefs, self._long_crefs, self._learned_crefs):
+            for cref in crefs:
+                size = old[cref - 2]
+                new.append(size)
+                new.append(old[cref - 1])
+                remap[cref] = len(new)
+                new.extend(old[cref : cref + size])
+        self._arena = new
+        self._bin_crefs = [remap[c] for c in self._bin_crefs]
+        self._long_crefs = [remap[c] for c in self._long_crefs]
+        self._learned_crefs = [remap[c] for c in self._learned_crefs]
+        reasons = self._reason
+        for var in range(1, self._nvars + 1):
+            cref = reasons[var]
+            if cref >= 0:
+                # Locked clauses are always kept, so this never dangles.
+                reasons[var] = remap[cref]
+        for watch_list in self._watches:
+            del watch_list[:]
+        for cref in self._long_crefs:
+            self._watch(cref)
+        for cref in self._learned_crefs:
+            self._watch(cref)
+        # Binary watch lists are rebuilt in chronological clause order,
+        # the per-literal order they had before the rebuild.
+        for watch_list in self._bin_watches:
+            del watch_list[:]
+        for cref in self._bin_crefs:
+            self._watch_binary(cref)
+
+    # ------------------------------------------------------------------
+    # Assignment primitives
     # ------------------------------------------------------------------
     def _value(self, lit: int) -> Optional[bool]:
         value = self._values[(lit << 1) if lit > 0 else ((-lit) << 1) | 1]
@@ -375,7 +433,7 @@ class CdclCore:
             return None
         return value > 0
 
-    def _enqueue(self, lit: int, reason) -> bool:
+    def _enqueue(self, lit: int, reason: int) -> bool:
         index = (lit << 1) if lit > 0 else ((-lit) << 1) | 1
         value = self._values[index]
         if value != 0:
@@ -389,7 +447,122 @@ class CdclCore:
         return True
 
     # ------------------------------------------------------------------
-    # Conflict analysis (first UIP; shared)
+    # Unit propagation (the hot loop)
+    # ------------------------------------------------------------------
+    def _propagate(self) -> Optional[list[int]]:
+        """Unit propagation; returns a conflicting clause's literals or None.
+
+        Binary clauses propagate first from their dedicated lists, then
+        long clauses through blocking-literal watches; every structure
+        the loop touches is a flat integer list."""
+        values = self._values
+        trail = self._trail
+        watches = self._watches
+        bin_watches = self._bin_watches
+        arena = self._arena
+        level_now = len(self._trail_lim)
+        levels = self._level
+        reasons = self._reason
+        qhead = self._qhead
+        start = qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            lit_idx = (lit << 1) if lit > 0 else ((-lit) << 1) | 1
+
+            for other, bin_cref in bin_watches[lit_idx]:
+                other_idx = (other << 1) if other > 0 else ((-other) << 1) | 1
+                value = values[other_idx]
+                if value < 0:
+                    self._qhead = len(trail)
+                    self.stats.propagations += qhead - start
+                    return arena[bin_cref : bin_cref + 2]
+                if value == 0:
+                    values[other_idx] = 1
+                    values[other_idx ^ 1] = -1
+                    var = other if other > 0 else -other
+                    levels[var] = level_now
+                    reasons[var] = bin_cref
+                    trail.append(other)
+
+            watch_list = watches[lit_idx]
+            neg_lit = -lit
+            i = 0
+            j = 0
+            end = len(watch_list)
+            while i < end:
+                # Watch entries are flat (blocker, cref) pairs; the
+                # blocker is *some* literal of the clause whose truth
+                # proves the clause satisfied without touching the arena.
+                # Compaction writes are skipped while i == j (nothing has
+                # moved out of this list yet) — the common case.
+                blocker = watch_list[i]
+                if values[(blocker << 1) if blocker > 0 else ((-blocker) << 1) | 1] > 0:
+                    if i != j:
+                        watch_list[j] = blocker
+                        watch_list[j + 1] = watch_list[i + 1]
+                    i += 2
+                    j += 2
+                    continue
+                cref = watch_list[i + 1]
+                i += 2
+                # Normalize: the false literal goes to position 1.
+                if arena[cref] == neg_lit:
+                    arena[cref] = arena[cref + 1]
+                    arena[cref + 1] = neg_lit
+                first = arena[cref]
+                first_idx = (first << 1) if first > 0 else ((-first) << 1) | 1
+                if values[first_idx] > 0:
+                    if i != j + 2:
+                        watch_list[j] = blocker
+                        watch_list[j + 1] = cref
+                    j += 2
+                    continue
+                # Look for a replacement watch.
+                moved = False
+                for pos in range(cref + 2, cref + arena[cref - 2]):
+                    cand = arena[pos]
+                    cand_idx = (cand << 1) if cand > 0 else ((-cand) << 1) | 1
+                    if values[cand_idx] >= 0:
+                        arena[cref + 1] = cand
+                        arena[pos] = neg_lit
+                        moved_watch = watches[cand_idx ^ 1]
+                        moved_watch.append(blocker)
+                        moved_watch.append(cref)
+                        moved = True
+                        break
+                if moved:
+                    continue
+                # Clause is unit or conflicting.
+                if i != j + 2:
+                    watch_list[j] = blocker
+                    watch_list[j + 1] = cref
+                j += 2
+                if values[first_idx] < 0:
+                    if i != j:
+                        while i < end:
+                            watch_list[j] = watch_list[i]
+                            watch_list[j + 1] = watch_list[i + 1]
+                            i += 2
+                            j += 2
+                        del watch_list[j:]
+                    self._qhead = len(trail)
+                    self.stats.propagations += qhead - start
+                    return arena[cref : cref + arena[cref - 2]]
+                values[first_idx] = 1
+                values[first_idx ^ 1] = -1
+                var = first if first > 0 else -first
+                levels[var] = level_now
+                reasons[var] = cref
+                trail.append(first)
+            if j != end:
+                del watch_list[j:]
+        self._qhead = qhead
+        self.stats.propagations += qhead - start
+        return None
+
+    # ------------------------------------------------------------------
+    # Conflict analysis (first UIP)
     # ------------------------------------------------------------------
     def _analyze(self, conflict: Sequence[int]) -> tuple[list[int], int, int]:
         """Derive the first-UIP learned clause; returns (clause, backjump
@@ -568,7 +741,7 @@ class CdclCore:
         self._cancel_until(back_level)
         if len(learned) == 1:
             self._cancel_until(0)
-            if not self._enqueue(learned[0], self._NO_REASON):
+            if not self._enqueue(learned[0], -1):
                 self._ok = False
                 return None
             if self._propagate() is not None:
@@ -576,69 +749,27 @@ class CdclCore:
                 return None
             self._decay()
             return "unit"
-        token = self._attach_clause(learned, learned=True, lbd=lbd)
+        cref = self._attach_clause(learned, learned=True, lbd=lbd)
         self.stats.learned_clauses += 1
-        self._enqueue(learned[0], token)
+        self._enqueue(learned[0], cref)
         self._decay()
         return "clause"
 
     def _restart(self) -> None:
-        """Cancel to level 0 and, if due, reduce the learned database.
-
-        Inprocessing deliberately does *not* run here: a restart is the
-        middle of a hot search, and rewriting the learned database there
-        perturbs the trajectory the restart is trying to exploit.  Passes
-        run at query boundaries instead (see :meth:`maybe_inprocess`)."""
+        """Cancel to level 0 and, if due, reduce the learned database."""
         self.stats.restarts += 1
         self._cancel_until(0)
-        if self.learned_count > self._max_learned:
+        if len(self._learned_crefs) > self._max_learned:
             self._reduce_db()
 
     # ------------------------------------------------------------------
-    # Inprocessing scheduling
-    # ------------------------------------------------------------------
-    def maybe_inprocess(self) -> bool:
-        """Run one inprocessing pass (subsumption + vivification over the
-        learned database) if enabled and due.
-
-        Call sites are query boundaries, where the solver is at decision
-        level 0 and no search is in flight: ``solve`` / ``iter_solutions``
-        entry, between enumeration bursts (a level-0 backjump after a
-        yielded model), and session query boundaries
-        (:class:`repro.relational.translate.ProblemSession`).  The pass
-        never touches problem clauses — which is what AllSAT blocking
-        clauses are — nor clauses locked as trail reasons, so it is sound
-        mid-enumeration.  Calling it at decision level > 0 is a no-op.
-        Returns True when a pass actually ran.
-        """
-        if not self._inprocess_enabled or not self._ok or self._trail_lim:
-            return False
-        if self.learned_count < self._inprocess_min_learned:
-            return False
-        if (
-            self.stats.conflicts - self._conflicts_at_last_inprocess
-            < self._inprocess_interval
-        ):
-            return False
-        from .inprocess import run_inprocessing
-
-        run_inprocessing(self)
-        self._conflicts_at_last_inprocess = self.stats.conflicts
-        return True
-
-    @property
-    def inprocessing_enabled(self) -> bool:
-        return self._inprocess_enabled
-
-    # ------------------------------------------------------------------
-    # Backtracking (shared)
+    # Backtracking
     # ------------------------------------------------------------------
     def _cancel_until(self, level: int) -> None:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
         values = self._values
-        no_reason = self._NO_REASON
         for index in range(len(self._trail) - 1, limit - 1, -1):
             lit = self._trail[index]
             var = lit if lit > 0 else -lit
@@ -646,7 +777,7 @@ class CdclCore:
             lit_idx = (lit << 1) if lit > 0 else (var << 1) | 1
             values[lit_idx] = 0
             values[lit_idx ^ 1] = 0
-            self._reason[var] = no_reason
+            self._reason[var] = -1
             if self._heap_pos[var] < 0:
                 self._heap_insert(var)
         del self._trail[limit:]
@@ -663,7 +794,7 @@ class CdclCore:
         return None
 
     # ------------------------------------------------------------------
-    # Main search loop (shared)
+    # Main search loop
     # ------------------------------------------------------------------
     def solve(self, assumptions: Sequence[int] = ()) -> SatResult:
         """Search for a model extending ``assumptions``.
@@ -685,9 +816,6 @@ class CdclCore:
             # Incremental use (AllSAT blocking loops) adds clauses between
             # many short solve calls; reduce here too, not just at restarts.
             self._reduce_db()
-        self.maybe_inprocess()
-        if not self._ok:
-            return SatResult(False, stats=self.stats)
 
         restart_index = 1
         conflict_budget = 32 * luby(restart_index)
@@ -755,10 +883,10 @@ class CdclCore:
             self._trail_lim.append(len(self._trail))
             if len(self._trail_lim) > self.stats.max_decision_level:
                 self.stats.max_decision_level = len(self._trail_lim)
-            self._enqueue(decision, self._NO_REASON)
+            self._enqueue(decision, -1)
 
     # ------------------------------------------------------------------
-    # Incremental AllSAT (shared)
+    # Incremental AllSAT
     # ------------------------------------------------------------------
     def iter_solutions(self, blocking_literals=None, assumptions: Sequence[int] = ()):
         """Enumerate models without restarting the search between them.
@@ -800,9 +928,6 @@ class CdclCore:
         self._cancel_until(0)
         if self._propagate() is not None:
             self._ok = False
-            return
-        self.maybe_inprocess()
-        if not self._ok:
             return
 
         restart_index = 1
@@ -868,7 +993,7 @@ class CdclCore:
                 self._trail_lim.append(len(self._trail))
                 if len(self._trail_lim) > self.stats.max_decision_level:
                     self.stats.max_decision_level = len(self._trail_lim)
-                self._enqueue(decision, self._NO_REASON)
+                self._enqueue(decision, -1)
                 continue
 
             values = self._values
@@ -887,13 +1012,6 @@ class CdclCore:
             if not self._block_and_continue(lits):
                 self._cancel_until(0)
                 return
-            if not self._trail_lim:
-                # A unit blocking clause (or a learned unit) brought the
-                # search back to level 0: an enumeration-burst boundary,
-                # the natural place for an inprocessing pass.
-                self.maybe_inprocess()
-                if not self._ok:
-                    return
 
     def _block_and_continue(self, lits: list[int]) -> bool:
         """Attach a blocking clause mid-search and backjump so the search
@@ -911,7 +1029,7 @@ class CdclCore:
             return False
         if len(live) == 1:
             self._cancel_until(0)
-            if not self._enqueue(live[0], self._NO_REASON) or (
+            if not self._enqueue(live[0], -1) or (
                 self._propagate() is not None
             ):
                 self._ok = False
@@ -920,11 +1038,11 @@ class CdclCore:
         live.sort(key=lambda lit: level[abs(lit)], reverse=True)
         top_level = level[abs(live[0])]
         second_level = level[abs(live[1])]
-        token = self._attach_clause(live)
+        cref = self._attach_clause(live)
         self._cancel_until(top_level - 1)
         if second_level < top_level:
             # The clause is unit now: assert its deepest literal here.
-            self._enqueue(live[0], token)
+            self._enqueue(live[0], cref)
         return True
 
     def last_model_decisions(self) -> list[int]:
@@ -941,7 +1059,7 @@ class CdclCore:
         return list(self._last_model_decisions)
 
     # ------------------------------------------------------------------
-    # Assumption handling (shared)
+    # Assumption handling
     # ------------------------------------------------------------------
     def _all_assumptions_hold(self, assumptions: Sequence[int]) -> bool:
         values = self._values
@@ -961,7 +1079,7 @@ class CdclCore:
                 self._cancel_until(0)
                 return False
             self._trail_lim.append(len(self._trail))
-            self._enqueue(lit, self._NO_REASON)
+            self._enqueue(lit, -1)
             conflict = self._propagate()
             if conflict is not None:
                 if len(self._trail_lim) == 0:
@@ -969,3 +1087,12 @@ class CdclCore:
                 self._cancel_until(0)
                 return False
         return True
+
+
+#: The public name of the solver.
+CdclSolver = CdclCore
+
+
+def solve_cnf(cnf: Cnf, assumptions: Sequence[int] = ()) -> SatResult:
+    """Convenience helper: build a solver for ``cnf`` and solve once."""
+    return CdclSolver(cnf).solve(assumptions)

@@ -105,6 +105,14 @@ class TestParser:
             main([])
 
 
+class TestSweepCommand:
+    def test_serial_sweep_renders_fig9(self, capsys) -> None:
+        """Without --jobs/--cache-dir the sweep runs in-process through
+        fig9_sweep; every flag it forwards must be one it accepts."""
+        assert main(["sweep", "--max-bound", "4"]) == 0
+        assert "instruction bound" in capsys.readouterr().out
+
+
 class TestOrchestratedSynthesize:
     def test_jobs2_suite_file_is_byte_identical_to_serial(
         self, tmp_path, capsys

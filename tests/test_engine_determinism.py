@@ -8,6 +8,12 @@ randomization (dict ordering, hash seeds) — these tests lock that in.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.litmus import serialize_elt
 from repro.models import x86t_elt
 from repro.synth import (
@@ -153,3 +159,38 @@ class TestSatWitnessBackend:
 
         with pytest.raises(SynthesisError):
             SynthesisConfig(bound=4, model=x86t_elt(), witness_backend="z3")
+
+
+def _sat_counters_under_hash_seed(seed: str, tmp_path: Path) -> dict:
+    """Every ``suite.sat_*`` counter of a SAT-backend CLI run in a fresh
+    interpreter with the given ``PYTHONHASHSEED`` (read back from the
+    run manifest embedded in its trace)."""
+    trace = tmp_path / f"trace-{seed}.json"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "synthesize",
+            "--bound", "5", "--witness-backend", "sat",
+            "--trace", str(trace),
+        ],
+        env=env,
+        check=True,
+        stdout=subprocess.DEVNULL,
+    )
+    payload = json.loads(trace.read_text())
+    counters = payload["otherData"]["manifest"]["counters"]["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("suite.sat_")}
+
+
+def test_sat_counters_do_not_depend_on_the_hash_seed(tmp_path) -> None:
+    """String-atom tuples hash differently per interpreter; no set order
+    may reach the relational translation's variable numbering, so the
+    solver counters are a function of the configuration alone."""
+    first = _sat_counters_under_hash_seed("0", tmp_path)
+    second = _sat_counters_under_hash_seed("3", tmp_path)
+    assert first["suite.sat_propagations"] > 0
+    assert first == second

@@ -31,12 +31,7 @@ What the digests encode:
   ``symmetry=True`` (witness-orbit pruning + SAT lex-leader breaking +
   orbit-level program dedup) and with the ``--no-symmetry`` oracle;
   orbit pruning keeps exactly the witnesses the representative
-  tie-break can select, so the bytes cannot depend on it;
-* **solver-core invariance** — every digest is asserted under both
-  ``solver_core="array"`` (the flat-arena propagation core) and
-  ``solver_core="object"`` (the per-clause-object oracle); the two
-  cores run lockstep-identical searches by contract, so the bytes
-  cannot depend on the storage layout.
+  tie-break can select, so the bytes cannot depend on it.
 
 When an intentional engine change alters output, regenerate with::
 
@@ -55,7 +50,6 @@ import pytest
 from repro.litmus import suite_from_diff, suite_from_synthesis
 from repro.models import x86t_amd_bug, x86t_elt
 from repro.orchestrate import run_sharded
-from repro.sat import SOLVER_CORES
 from repro.synth import SynthesisConfig, synthesize
 
 #: (target axiom, bound, witness backend) -> sha256 of the suite text.
@@ -122,34 +116,17 @@ def suite_digest(axiom: str, bound: int, backend: str, **kwargs) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "solver_core",
-    [
-        "object",
-        "array",
-        pytest.param(
-            "accel",
-            marks=pytest.mark.skipif(
-                "accel" not in SOLVER_CORES,
-                reason="repro.sat._accel extension not built",
-            ),
-        ),
-    ],
-)
 @pytest.mark.parametrize("symmetry", [False, True], ids=["no-symmetry", "symmetry"])
 @pytest.mark.parametrize("incremental", [False, True], ids=["fresh", "incremental"])
 @pytest.mark.parametrize(
     "axiom,bound,backend", sorted(GOLDEN_SUITES), ids=lambda v: str(v)
 )
 def test_serial_suite_matches_golden_digest(
-    axiom, bound, backend, incremental, symmetry, solver_core
+    axiom, bound, backend, incremental, symmetry
 ) -> None:
     """Every pinned digest must hold on BOTH solver paths (the
-    incremental-session path and the fresh-solver oracle), on both
-    symmetry paths (orbit-pruned and the --no-symmetry oracle), and on
-    every solver core (the array propagation core, the C-accelerated
-    core when its extension is built, and the object-core oracle —
-    lockstep-identical searches by contract).
+    incremental-session path and the fresh-solver oracle) and on both
+    symmetry paths (orbit-pruned and the --no-symmetry oracle).
     Session reuse across these parametrized cases is exactly the
     production sweep workload, so cache warmth is deliberately not
     reset between them."""
@@ -159,7 +136,6 @@ def test_serial_suite_matches_golden_digest(
         backend,
         incremental=incremental,
         symmetry=symmetry,
-        solver_core=solver_core,
     ) == GOLDEN_SUITES[(axiom, bound, backend)]
 
 

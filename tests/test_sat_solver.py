@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import random
+import time
+from dataclasses import asdict, fields
+
 import pytest
 
-from repro.errors import CnfError
+import repro.sat.core as core_module
+from repro.errors import CnfError, SolverInterrupted
+from repro.resilience import deadline_scope
 from repro.sat import (
+    MAX_MERGED_STAT_FIELDS,
     CdclSolver,
     Cnf,
+    SolverStats,
     brute_force_count,
+    brute_force_models,
     brute_force_satisfiable,
     count_models,
     iter_models,
@@ -217,3 +226,115 @@ class TestLuby:
         for i in range(1, 200):
             value = luby(i)
             assert value & (value - 1) == 0
+
+
+# ----------------------------------------------------------------------
+# Locked reasons under database reduction (dangling-reference sweep)
+# ----------------------------------------------------------------------
+
+
+def assert_reason_integrity(solver) -> None:
+    """Every trail literal's reason clause must still read back as a
+    clause containing that literal with every other literal false —
+    exactly what conflict analysis will assume of it."""
+    for lit in solver._trail:
+        var = lit if lit > 0 else -lit
+        reason = solver._reason_lits(var)
+        if reason is None:
+            continue
+        lits = list(reason)
+        assert lit in lits
+        assert all(
+            solver._value(other) is False for other in lits if other != lit
+        )
+
+
+def test_reduce_db_keeps_locked_reasons_valid() -> None:
+    """Force a database reduction at every restart and every solve
+    entry: clauses that are reasons of root-level assignments must
+    survive and have their references remapped across compaction."""
+    solver = CdclSolver(pigeonhole(6))
+    solver._max_learned = 0
+    assert not solver.solve().satisfiable
+    assert solver.stats.db_reductions > 0
+
+    rng = random.Random(0xBEEF)
+    for _ in range(25):
+        num_vars = rng.randint(4, 9)
+        cnf = Cnf(num_vars)
+        for _clause in range(rng.randint(num_vars, 4 * num_vars)):
+            width = rng.randint(1, min(4, num_vars))
+            chosen = rng.sample(range(1, num_vars + 1), width)
+            cnf.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+        solver = CdclSolver(cnf)
+        solver._max_learned = 0
+        result = solver.solve()
+        assert result.satisfiable == brute_force_satisfiable(cnf)
+        assert_reason_integrity(solver)
+        seen = {tuple(sorted(m.items())) for m in solver.iter_solutions()}
+        expected = {
+            tuple(sorted(m.items())) for m in brute_force_models(cnf)
+        }
+        if result.satisfiable:
+            assert seen == expected
+        assert_reason_integrity(solver)
+
+
+# ----------------------------------------------------------------------
+# Cooperative-deadline re-reads
+# ----------------------------------------------------------------------
+
+
+def test_deadline_installed_mid_enumeration_interrupts(monkeypatch) -> None:
+    """The solver re-reads the ambient deadline at every poll, so a
+    scope entered *after* iter_solutions started must interrupt the
+    very next burst — an entry-time snapshot would never see it."""
+    monkeypatch.setattr(core_module, "DEADLINE_POLL_PROPAGATIONS", 1)
+    solver = CdclSolver(make_cnf(4, []))
+    models = solver.iter_solutions()
+    assert next(models) is not None  # no deadline active: runs fine
+    with deadline_scope(time.monotonic() - 1.0):
+        with pytest.raises(SolverInterrupted):
+            next(models)
+    # The interrupt backtracked to the root: the solver stays usable.
+    assert solver.solve().satisfiable
+
+
+def test_expired_deadline_interrupts_solve(monkeypatch) -> None:
+    monkeypatch.setattr(core_module, "DEADLINE_POLL_PROPAGATIONS", 1)
+    solver = CdclSolver(pigeonhole(4))
+    with deadline_scope(time.monotonic() - 1.0):
+        with pytest.raises(SolverInterrupted):
+            solver.solve()
+    assert not solver.solve().satisfiable
+
+
+# ----------------------------------------------------------------------
+# SolverStats.merge exhaustiveness
+# ----------------------------------------------------------------------
+
+
+def test_solver_stats_merge_covers_every_field() -> None:
+    """merge() iterates dataclasses.fields, so a newly added counter is
+    aggregated automatically — this pins the policy: every field is
+    summed unless listed in MAX_MERGED_STAT_FIELDS, and that list only
+    names real fields."""
+    names = [f.name for f in fields(SolverStats)]
+    assert MAX_MERGED_STAT_FIELDS <= set(names)
+    left = SolverStats()
+    right = SolverStats()
+    for index, name in enumerate(names):
+        setattr(left, name, 3 + 2 * index)
+        setattr(right, name, 1000 + 3 * index)
+    left.merge(right)
+    for index, name in enumerate(names):
+        a, b = 3 + 2 * index, 1000 + 3 * index
+        want = max(a, b) if name in MAX_MERGED_STAT_FIELDS else a + b
+        assert getattr(left, name) == want, name
+
+
+def test_solver_stats_replace_covers_every_field() -> None:
+    """asdict round-trips every counter field."""
+    stats = SolverStats()
+    payload = asdict(stats)
+    assert set(payload) == {f.name for f in fields(SolverStats)}

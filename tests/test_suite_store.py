@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.models import x86t_elt
+from repro.conformance import DiffConfig
+from repro.conformance.runner import diff_identity
+from repro.fuzz.config import FuzzConfig, fuzz_identity
+from repro.models import x86t_amd_bug, x86t_elt
 from repro.orchestrate import (
     ShardSpec,
     ShardTask,
@@ -15,7 +18,12 @@ from repro.orchestrate import (
     run_sharded,
     run_sweep_sharded,
 )
-from repro.orchestrate.store import KIND_SHARD, KIND_SUITE
+from repro.orchestrate.store import (
+    KIND_SHARD,
+    KIND_SUITE,
+    config_identity,
+    identity_key,
+)
 from repro.synth import SynthesisConfig, synthesize
 
 
@@ -40,6 +48,31 @@ class TestEntryKeys:
             entry_key(base, KIND_SHARD, ShardSpec(1, 2)),
         }
         assert len(keys) == 6
+
+    def test_identity_keys_are_pinned(self) -> None:
+        """Store keys address entries already on disk: a change to any of
+        these digests orphans every existing ``--cache-dir`` store.
+        Adding or removing an output-invariant strategy knob (which the
+        identities skip) must leave them unchanged."""
+        synth = SynthesisConfig(
+            bound=5,
+            model=x86t_elt(),
+            target_axiom="sc_per_loc",
+            witness_backend="sat",
+        )
+        assert identity_key(config_identity(synth)) == (
+            "1b81b4c132f25e05460cffc0d5625d79"
+        )
+        assert identity_key(fuzz_identity(FuzzConfig(seed=7, bound=9))) == (
+            "f111193e95473af836a67bb261c363de"
+        )
+        diff = DiffConfig(
+            base=SynthesisConfig(bound=5, model=x86t_elt()),
+            subject=x86t_amd_bug(),
+        )
+        assert identity_key(diff_identity(diff)) == (
+            "24044aad6f2a49156caaa4efd0e86eaf"
+        )
 
 
 class TestStorePrimitives:
